@@ -70,9 +70,10 @@ main()
     std::uint64_t sum = m.node(1).mem().readLine(line)[amap.wordOf(
         result_sum)];
     for (NodeId p = 0; p < cfg.numNodes; ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(line);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         if (cl && cl->state == CacheState::readWrite)
-            sum = cl->words[amap.wordOf(result_sum)];
+            sum = arr.words(*cl)[amap.wordOf(result_sum)];
     }
 
     std::cout << "ran " << cfg.numNodes << " threads in " << r.cycles

@@ -3,13 +3,20 @@
  * Direct-mapped cache storage (64K bytes of 16-byte lines per Alewife
  * node). Stores real data words so end-to-end value correctness is
  * checkable, not just timing.
+ *
+ * Tags and states sit in one array of 16-byte CacheLines; the data sit
+ * in a second, flat array holding exactly AddressMap::wordsPerLine()
+ * words per set, reached through CacheArray::words(). A set therefore
+ * costs 16 bytes plus its line (32 bytes at the default 16-byte line),
+ * not the largest line any configuration could choose.
  */
 
 #ifndef LIMITLESS_CACHE_CACHE_ARRAY_HH
 #define LIMITLESS_CACHE_CACHE_ARRAY_HH
 
-#include <array>
 #include <cassert>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "machine/address_map.hh"
@@ -19,14 +26,14 @@
 namespace limitless
 {
 
-/** One cache line. */
+/** One cache set's tag and state; its data words live in the owning
+ *  CacheArray (CacheArray::words). */
 struct CacheLine
 {
     Addr tag = 0; ///< line-aligned address
     CacheState state = CacheState::invalid;
     /** Chain pointer for the chained-directory protocol. */
     NodeId chainNext = invalidNode;
-    std::array<std::uint64_t, AddressMap::maxWordsPerLine> words{};
 
     bool valid() const { return state != CacheState::invalid; }
 };
@@ -37,7 +44,7 @@ class CacheArray
   public:
     CacheArray(std::uint64_t cache_bytes, const AddressMap &amap)
         : _amap(amap), _numSets(cache_bytes / amap.lineBytes()),
-          _sets(_numSets)
+          _sets(_numSets), _words(_numSets * amap.wordsPerLine())
     {
         assert(_numSets >= 1);
         assert((_numSets & (_numSets - 1)) == 0 &&
@@ -55,6 +62,19 @@ class CacheArray
     /** Line currently resident in the set the address maps to. */
     CacheLine &setFor(Addr line) { return _sets[indexOf(line)]; }
     const CacheLine &setFor(Addr line) const { return _sets[indexOf(line)]; }
+
+    /** Data words of @p cl, which must be one of this array's sets. */
+    std::span<std::uint64_t>
+    words(const CacheLine &cl)
+    {
+        return {_words.data() + wordOffset(cl), _amap.wordsPerLine()};
+    }
+
+    std::span<const std::uint64_t>
+    words(const CacheLine &cl) const
+    {
+        return {_words.data() + wordOffset(cl), _amap.wordsPerLine()};
+    }
 
     /** Matching valid line, or nullptr. */
     CacheLine *
@@ -80,8 +100,9 @@ class CacheArray
         cl.tag = line;
         cl.state = state;
         cl.chainNext = invalidNode;
+        std::uint64_t *dst = _words.data() + wordOffset(cl);
         for (unsigned i = 0; i < words; ++i)
-            cl.words[i] = data[i];
+            dst[i] = data[i];
         return cl;
     }
 
@@ -106,9 +127,19 @@ class CacheArray
     }
 
   private:
+    /** Offset of @p cl's first word in the flat data array. */
+    std::size_t
+    wordOffset(const CacheLine &cl) const
+    {
+        assert(&cl >= _sets.data() && &cl < _sets.data() + _numSets);
+        return static_cast<std::size_t>(&cl - _sets.data()) *
+               _amap.wordsPerLine();
+    }
+
     const AddressMap &_amap;
     std::size_t _numSets;
     std::vector<CacheLine> _sets;
+    std::vector<std::uint64_t> _words; ///< wordsPerLine() per set
 };
 
 } // namespace limitless

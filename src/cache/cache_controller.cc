@@ -50,7 +50,7 @@ CacheController::access(const MemOp &op, Completion done)
 void
 CacheController::applyOp(const MemOp &op, CacheLine &cl, std::uint64_t &out)
 {
-    std::uint64_t &word = cl.words[_amap.wordOf(op.addr)];
+    std::uint64_t &word = _array.words(cl)[_amap.wordOf(op.addr)];
     switch (op.kind) {
       case MemOpKind::load:
         out = word;
@@ -196,7 +196,7 @@ CacheController::startAccess(const MemOp &op, Completion done,
                 _statRepm += 1;
                 auto pkt = makeDataPacket(
                     _self, _amap.requestTargetFor(victim.tag, _self),
-                    Opcode::REPM, victim.tag, victim.words.data(),
+                    Opcode::REPM, victim.tag, _array.words(victim).data(),
                     _amap.wordsPerLine());
                 victim.state = CacheState::invalid;
                 _send(std::move(pkt));
@@ -457,8 +457,9 @@ CacheController::checkpoint(std::ostream &os) const
         if (cl.chainNext != invalidNode)
             os << ">" << cl.chainNext;
         os << "=";
-        for (unsigned w = 0; w < _amap.wordsPerLine(); ++w)
-            os << cl.words[w] << (w + 1 < _amap.wordsPerLine() ? "," : "");
+        const auto words = _array.words(cl);
+        for (unsigned w = 0; w < words.size(); ++w)
+            os << words[w] << (w + 1 < words.size() ? "," : "");
         os << ";";
     }
     // Outstanding transactions, in line order. Timing-only fields

@@ -169,7 +169,7 @@ CacheController::invWriteback(CacheCtx &c)
     cc.noteInvReceived(*c.pkt);
     const Addr line = c.pkt->addr();
     auto upd = makeDataPacket(cc._self, invHome(*c.pkt), Opcode::UPDATE,
-                              line, c.cl->words.data(),
+                              line, cc._array.words(*c.cl).data(),
                               cc._amap.wordsPerLine());
     // The writeback answers the INV: carry its transaction tags so the
     // ack leg nests under the per-sharer invalidation span.
@@ -183,8 +183,9 @@ CacheController::mupdRefresh(CacheCtx &c)
 {
     // Refresh a cached copy of an update-mode line in place.
     CacheController &cc = c.cc;
-    for (unsigned w = 0; w < cc._amap.wordsPerLine(); ++w)
-        c.cl->words[w] = c.pkt->data[w];
+    std::span<std::uint64_t> words = cc._array.words(*c.cl);
+    for (unsigned w = 0; w < words.size(); ++w)
+        words[w] = c.pkt->data[w];
     cc.sendAck(c.pkt->src, c.pkt->addr(), invalidNode, c.pkt.get());
 }
 

@@ -442,9 +442,7 @@ ChipHomeController::deferOrBusy(PacketPtr &pkt, ChipLine &cl)
 void
 ChipHomeController::replayDeferred(ChipLine &cl)
 {
-    for (auto it = cl.deferred.rbegin(); it != cl.deferred.rend(); ++it)
-        _queue.push_front(std::move(*it));
-    cl.deferred.clear();
+    replayInto(cl.deferred, _queue);
     scheduleService();
 }
 

@@ -76,7 +76,7 @@ struct ChipLine
     NodeId evictVictim = invalidNode; ///< hChipET victim
     std::uint32_t retries = 0;        ///< BUSY backoff rounds (parent)
     LineWords data{};                 ///< the chip-level copy
-    std::deque<PacketPtr> deferred;   ///< parked local requests
+    DeferredRequests deferred;        ///< parked local requests
 };
 
 /** The per-node chip-home controller (two-level mode only). */

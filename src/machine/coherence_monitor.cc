@@ -339,8 +339,8 @@ CoherenceMonitor::collectQuiescentViolations() const
             // holds the line dirty (memory is stale until writeback).
             const LineWords &mem = home.readLine(line);
             for (NodeId reader : lc.readers) {
-                const CacheLine *cl =
-                    _m.node(reader).cache().array().lookup(line);
+                const CacheArray &arr = _m.node(reader).cache().array();
+                const CacheLine *cl = arr.lookup(line);
                 assert(cl);
                 const LineWords *ref = &mem;
                 const char *refName = "memory";
@@ -350,14 +350,15 @@ CoherenceMonitor::collectQuiescentViolations() const
                     refName = "chip home";
                     assert(ref);
                 }
-                for (unsigned w = 0; w < amap.wordsPerLine(); ++w) {
-                    if (cl->words[w] != (*ref)[w])
+                const auto words = arr.words(*cl);
+                for (unsigned w = 0; w < words.size(); ++w) {
+                    if (words[w] != (*ref)[w])
                         addViolation(
                             out, line,
                             "coherence: node %u copy of %#llx word %u is "
                             "%llu, %s has %llu",
                             reader, (unsigned long long)line, w,
-                            (unsigned long long)cl->words[w], refName,
+                            (unsigned long long)words[w], refName,
                             (unsigned long long)(*ref)[w]);
                 }
             }

@@ -11,6 +11,7 @@
 #include "directory/full_map_dir.hh"
 #include "directory/limited_dir.hh"
 #include "directory/limitless_dir.hh"
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "obs/flight_recorder.hh"
@@ -955,11 +956,17 @@ Machine::dumpStatsJson(std::ostream &os, Tick cycles,
         if (gethostname(hostname, sizeof hostname) != 0)
             std::strcpy(hostname, "unknown");
         hostname[sizeof hostname - 1] = '\0';
+        // Peak resident set of the whole process so far (Linux reports
+        // ru_maxrss in KiB): the simulator's footprint from its own
+        // export, no external sampler needed.
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
         os << "  \"host\": {\n";
         os << "    \"seconds\": " << run->hostSeconds << ",\n";
         os << "    \"events\": " << run->events << ",\n";
         os << "    \"events_per_sec\": " << run->eventsPerSecond()
            << ",\n";
+        os << "    \"peak_rss_kb\": " << usage.ru_maxrss << ",\n";
         os << "    \"hostname\": ";
         jsonEscape(os, hostname);
         // windows == 0 means the kernel ran without the stats sink

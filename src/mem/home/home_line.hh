@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "proto/packet.hh"
 #include "proto/states.hh"
@@ -19,6 +20,25 @@
 
 namespace limitless
 {
+
+/**
+ * Requests a home parks while one of its lines is mid-transaction (see
+ * MemParams::deferDepth). The list is only appended to, replayed and
+ * cleared, and it is almost always empty, so it is a vector: an empty
+ * one owns no heap storage, where a std::deque allocates its block map
+ * on construction.
+ */
+using DeferredRequests = std::vector<PacketPtr>;
+
+/** Re-inject @p parked at the head of @p queue, preserving their
+ *  arrival order (they predate anything queued), and empty it. */
+inline void
+replayInto(DeferredRequests &parked, std::deque<PacketPtr> &queue)
+{
+    for (auto it = parked.rbegin(); it != parked.rend(); ++it)
+        queue.push_front(std::move(*it));
+    parked.clear();
+}
 
 /** The home side's per-line protocol state. */
 struct HomeLine
@@ -44,7 +64,7 @@ struct HomeLine
     NodeId walkTarget = invalidNode;
     NodeId repcRequester = invalidNode;
     /** Requests parked during a transaction (see MemParams). */
-    std::deque<PacketPtr> deferred;
+    DeferredRequests deferred;
 };
 
 } // namespace limitless

@@ -438,11 +438,7 @@ MemoryController::deferOrBusy(PacketPtr &pkt, HomeLine &hl)
 void
 MemoryController::replayDeferred(HomeLine &hl)
 {
-    // Re-inject parked requests at the head of the service queue,
-    // preserving their arrival order (they predate anything queued).
-    for (auto it = hl.deferred.rbegin(); it != hl.deferred.rend(); ++it)
-        _queue.push_front(std::move(*it));
-    hl.deferred.clear();
+    replayInto(hl.deferred, _queue);
     scheduleService();
 }
 

@@ -17,50 +17,68 @@ EventQueue::EventQueue() : _slots(wheelSpan)
     _overflow.reserve(1024);
 }
 
+EventQueue::Index
+EventQueue::acquire()
+{
+    if (_free.empty()) {
+        // Push the new chunk's indices high to low so the lowest pops
+        // first and a fresh pool fills in address order.
+        const auto base = static_cast<Index>(_chunks.size() * chunkSize);
+        _chunks.push_back(std::make_unique<Entry[]>(chunkSize));
+        for (Index i = chunkSize; i-- > 0;)
+            _free.push_back(base + i);
+    }
+    const Index i = _free.back();
+    _free.pop_back();
+    return i;
+}
+
 void
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     assert(when >= _now && "cannot schedule into the past");
-    Entry e(when, static_cast<std::uint32_t>(priority), _seq++,
-            std::move(cb));
+    const Index i = acquire();
+    Entry &e = entry(i);
+    e.when = when;
+    e.priority = static_cast<std::uint32_t>(priority);
+    e.seq = _seq++;
+    e.cb = std::move(cb);
     if (when == _now && _sortedTick == _now) {
         // The current tick's bucket is mid-execution and sorted; insert
-        // the new entry's index in order past the cursor so the walk
-        // stays the global minimum. The entry itself just appends.
-        std::vector<Entry> &slot = _slots[when & wheelMask];
+        // the new index in order past the cursor so the walk stays the
+        // global minimum.
+        std::vector<Index> &slot = _slots[when & wheelMask];
         const auto pos = std::lower_bound(
-            _order.begin() + static_cast<std::ptrdiff_t>(_cursor),
-            _order.end(), e,
-            [&slot](std::uint32_t idx, const Entry &b) {
-                return slot[idx].before(b);
-            });
-        _order.insert(pos, static_cast<std::uint32_t>(slot.size()));
-        slot.push_back(std::move(e));
+            slot.begin() + static_cast<std::ptrdiff_t>(_cursor), slot.end(),
+            i, [this](Index a, Index b) { return earlier(a, b); });
+        slot.insert(pos, i);
     } else if (when - _now < wheelSpan)
-        wheelInsert(std::move(e));
+        wheelInsert(i);
     else {
-        _overflow.push_back(std::move(e));
-        std::push_heap(_overflow.begin(), _overflow.end(), OverflowLater{});
+        _overflow.push_back(i);
+        std::push_heap(_overflow.begin(), _overflow.end(),
+                       [this](Index a, Index b) { return earlier(b, a); });
     }
     ++_size;
 }
 
 void
-EventQueue::wheelInsert(Entry &&e)
+EventQueue::wheelInsert(Index i)
 {
-    const std::size_t slot = e.when & wheelMask;
-    _slots[slot].push_back(std::move(e));
+    const std::size_t slot = entry(i).when & wheelMask;
+    _slots[slot].push_back(i);
     _occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
 }
 
 void
 EventQueue::migrateOverflow()
 {
-    while (!_overflow.empty() && _overflow.front().when - _now < wheelSpan) {
-        std::pop_heap(_overflow.begin(), _overflow.end(), OverflowLater{});
-        Entry e = std::move(_overflow.back());
+    while (!_overflow.empty() &&
+           entry(_overflow.front()).when - _now < wheelSpan) {
+        std::pop_heap(_overflow.begin(), _overflow.end(),
+                      [this](Index a, Index b) { return earlier(b, a); });
+        wheelInsert(_overflow.back());
         _overflow.pop_back();
-        wheelInsert(std::move(e));
     }
 }
 
@@ -101,7 +119,8 @@ EventQueue::nextEventTick() const
     // Un-migrated overflow entries still carry their true tick, so the
     // minimum over both structures is exact without mutating state.
     const Tick wheel = wheelNextTick();
-    const Tick over = _overflow.empty() ? maxTick : _overflow.front().when;
+    const Tick over =
+        _overflow.empty() ? maxTick : entry(_overflow.front()).when;
     return wheel < over ? wheel : over;
 }
 
@@ -116,19 +135,10 @@ EventQueue::enterTick()
     _now = t;
     migrateOverflow();
 
-    std::vector<Entry> &entered = _slots[t & wheelMask];
+    std::vector<Index> &entered = _slots[t & wheelMask];
     assert(!entered.empty());
-    // Sort indices, not entries: moving 4-byte indices is far
-    // cheaper than shuffling Entry objects (each move invokes the
-    // InlineFunction manager), and the entries stay put so indices
-    // stay valid across the bucket's push_backs.
-    _order.resize(entered.size());
-    for (std::uint32_t i = 0; i < _order.size(); ++i)
-        _order[i] = i;
-    std::sort(_order.begin(), _order.end(),
-              [&entered](std::uint32_t a, std::uint32_t b) {
-                  return entered[a].before(entered[b]);
-              });
+    std::sort(entered.begin(), entered.end(),
+              [this](Index a, Index b) { return earlier(a, b); });
     _sortedTick = t;
     _cursor = 0;
 }
@@ -136,13 +146,27 @@ EventQueue::enterTick()
 void
 EventQueue::finishBucket()
 {
-    std::vector<Entry> &slot = _slots[_now & wheelMask];
-    slot.clear();
-    _order.clear();
+    const std::size_t s = _now & wheelMask;
+    _slots[s].clear();
     _cursor = 0;
     _sortedTick = maxTick;
-    const std::size_t s = _now & wheelMask;
     _occupied[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+}
+
+void
+EventQueue::dispatchNext()
+{
+    const Index i = _slots[_now & wheelMask][_cursor];
+    ++_cursor;
+    --_size;
+    ++_executed;
+    // The pool never moves an entry, so the callback runs where it was
+    // stored even when it schedules enough to grow the pool; its entry
+    // is not free until it returns.
+    Entry &e = entry(i);
+    e.cb();
+    e.cb.reset();
+    _free.push_back(i);
 }
 
 bool
@@ -154,17 +178,12 @@ EventQueue::runOne()
     if (_sortedTick != _now)
         enterTick();
 
-    std::vector<Entry> &slot = _slots[_now & wheelMask];
-    assert(_cursor < _order.size());
-    Callback cb = std::move(slot[_order[_cursor]].cb);
-    ++_cursor;
-    --_size;
-    ++_executed;
-    cb();
+    assert(_cursor < _slots[_now & wheelMask].size());
+    dispatchNext();
 
     // Entries behind the cursor are spent; once the callback has had its
     // chance to add same-tick work, a fully-walked bucket resets.
-    if (_cursor >= _order.size())
+    if (_cursor >= _slots[_now & wheelMask].size())
         finishBucket();
     return true;
 }
@@ -177,19 +196,15 @@ EventQueue::runBurst(std::uint64_t max)
     while (n < max && _size != 0) {
         if (_sortedTick != _now)
             enterTick();
-        // Dispatch the whole bucket through one tight loop. The slot and
-        // order vectors must be re-indexed every iteration: a callback's
-        // same-tick schedule() push_back can reallocate either one.
-        while (n < max && _cursor < _order.size()) {
-            Callback cb =
-                std::move(_slots[_now & wheelMask][_order[_cursor]].cb);
-            ++_cursor;
-            --_size;
-            ++_executed;
+        // Dispatch the whole bucket through one tight loop. The bucket is
+        // re-read every iteration: a callback's same-tick schedule() can
+        // insert into it (and reallocate it).
+        const std::vector<Index> &bucket = _slots[_now & wheelMask];
+        while (n < max && _cursor < bucket.size()) {
+            dispatchNext();
             ++n;
-            cb();
         }
-        if (_cursor >= _order.size())
+        if (_cursor >= bucket.size())
             finishBucket();
     }
     return n;
@@ -215,16 +230,12 @@ EventQueue::runTickBelow(Tick t, int prioLimit)
     while (_size != 0 && nextEventTick() == t) {
         if (_sortedTick != t)
             enterTick();
-        std::vector<Entry> &slot = _slots[t & wheelMask];
-        if (slot[_order[_cursor]].priority >= limit)
+        const std::vector<Index> &bucket = _slots[t & wheelMask];
+        if (entry(bucket[_cursor]).priority >= limit)
             break; // bucket stays mid-walk for runTickRemainder()
-        Callback cb = std::move(slot[_order[_cursor]].cb);
-        ++_cursor;
-        --_size;
-        ++_executed;
+        dispatchNext();
         ++n;
-        cb();
-        if (_cursor >= _order.size())
+        if (_cursor >= bucket.size())
             finishBucket();
     }
     return n;
@@ -237,14 +248,9 @@ EventQueue::runTickRemainder(Tick t)
     while (_size != 0 && nextEventTick() == t) {
         if (_sortedTick != t)
             enterTick();
-        std::vector<Entry> &slot = _slots[t & wheelMask];
-        Callback cb = std::move(slot[_order[_cursor]].cb);
-        ++_cursor;
-        --_size;
-        ++_executed;
+        dispatchNext();
         ++n;
-        cb();
-        if (_cursor >= _order.size())
+        if (_cursor >= _slots[t & wheelMask].size())
             finishBucket();
     }
     return n;

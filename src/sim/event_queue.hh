@@ -13,9 +13,17 @@
  * structures order entries by the same (tick, priority, seq) key, so the
  * execution order is bit-identical to a plain priority queue; a property
  * test (tests/test_event_queue.cc) cross-checks this against a reference
- * heap scheduler on randomized workloads. Callbacks are stored in an
- * InlineFunction so scheduling an event never touches the allocator for
- * captures up to 48 bytes.
+ * heap scheduler on randomized workloads.
+ *
+ * Entries live in one pool of fixed-size chunks: addresses never move,
+ * and a LIFO free list recycles the most recently released (cache-warm)
+ * entry first, so the pool holds storage for the peak number of pending
+ * events, not the peak of every wheel slot. Wheel slots and the overflow
+ * heap hold 4-byte pool indices; entering a tick sorts that slot's index
+ * vector in place and walks it as the execution order. A callback runs
+ * where it was stored (an InlineFunction, so scheduling never touches
+ * the allocator for captures up to 48 bytes) and its entry is released
+ * after it returns.
  */
 
 #ifndef LIMITLESS_SIM_EVENT_QUEUE_HH
@@ -23,6 +31,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -133,6 +142,11 @@ class EventQueue
     /** Earliest pending tick, or maxTick when empty. */
     Tick nextEventTick() const;
 
+    /** Entries the pool holds storage for, pending or free. The pool
+     *  grows a chunk at a time and never shrinks, so this is the peak
+     *  pending count rounded up to whole chunks. */
+    std::size_t entryCapacity() const { return _chunks.size() * chunkSize; }
+
   private:
     /** Near-horizon window: events within `wheelSpan` ticks of now()
      *  land in the wheel; everything else waits in the overflow heap
@@ -141,22 +155,20 @@ class EventQueue
     static constexpr Tick wheelSpan = Tick{1} << wheelBits;
     static constexpr Tick wheelMask = wheelSpan - 1;
 
+    /** Pool chunk: 256 entries (24 KiB). */
+    static constexpr unsigned chunkBits = 8;
+    static constexpr std::uint32_t chunkSize = std::uint32_t{1} << chunkBits;
+    static constexpr std::uint32_t chunkMask = chunkSize - 1;
+
+    /** Index of an entry in the pool. */
+    using Index = std::uint32_t;
+
     struct Entry
     {
-        Tick when;
-        std::uint32_t priority;
-        std::uint64_t seq;
-        Callback cb;
-
-        // Entries are moved, never copied: deleting the copy operations
-        // proves no container churn silently duplicates a callback.
-        Entry(Tick w, std::uint32_t p, std::uint64_t s, Callback c)
-            : when(w), priority(p), seq(s), cb(std::move(c))
-        {}
-        Entry(Entry &&) noexcept = default;
-        Entry &operator=(Entry &&) noexcept = default;
-        Entry(const Entry &) = delete;
-        Entry &operator=(const Entry &) = delete;
+        Tick when = 0;
+        std::uint32_t priority = 0;
+        std::uint64_t seq = 0;
+        Callback cb; ///< empty while the entry is free
 
         /** Strict-weak order: earlier (when, priority, seq) first. */
         bool
@@ -170,29 +182,33 @@ class EventQueue
         }
     };
 
-    /** Min-heap comparator for the overflow vector (std::push_heap is a
-     *  max-heap, so invert). */
-    struct OverflowLater
+    Entry &entry(Index i) { return _chunks[i >> chunkBits][i & chunkMask]; }
+    const Entry &
+    entry(Index i) const
     {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            return b.before(a);
-        }
-    };
+        return _chunks[i >> chunkBits][i & chunkMask];
+    }
+    bool earlier(Index a, Index b) const { return entry(a).before(entry(b)); }
 
-    void wheelInsert(Entry &&e);
+    /** Take a free entry, adding a chunk to the pool when none is left. */
+    Index acquire();
+    /** Run the entry at the cursor in place, then return it to the pool. */
+    void dispatchNext();
+    void wheelInsert(Index i);
     /** Move overflow entries inside the window [_now, _now + span). */
     void migrateOverflow();
     /** Advance to the earliest occupied tick and sort its bucket. */
     void enterTick();
-    /** Reset a fully-walked bucket (slot, order, occupancy bit). */
+    /** Reset a fully-walked bucket (slot, occupancy bit). */
     void finishBucket();
     /** Earliest occupied wheel tick, or maxTick when the wheel is empty. */
     Tick wheelNextTick() const;
 
-    std::vector<std::vector<Entry>> _slots; ///< one bucket per wheel slot
+    std::vector<std::unique_ptr<Entry[]>> _chunks; ///< the entry pool
+    std::vector<Index> _free;               ///< LIFO free list
+    std::vector<std::vector<Index>> _slots; ///< one bucket per wheel slot
     std::uint64_t _occupied[wheelSpan / 64] = {}; ///< slot bitmap
-    std::vector<Entry> _overflow;           ///< min-heap beyond the window
+    std::vector<Index> _overflow;           ///< min-heap beyond the window
     std::size_t _size = 0;                  ///< wheel + overflow entries
     Tick _now = 0;
     std::uint64_t _seq = 0;
@@ -200,17 +216,13 @@ class EventQueue
 
     /**
      * Execution state of the current tick's bucket. On entering a tick
-     * the bucket is sorted once and `_cursor` walks it, so popping the
-     * minimum is O(1) instead of a per-event scan; same-tick schedules
-     * insert in order past the cursor. `_sortedTick == maxTick` means no
-     * bucket is mid-execution.
+     * the bucket's indices are sorted once and `_cursor` walks them, so
+     * popping the minimum is O(1) instead of a per-event scan; same-tick
+     * schedules insert in order past the cursor. `_sortedTick ==
+     * maxTick` means no bucket is mid-execution.
      */
     Tick _sortedTick = maxTick;
     std::size_t _cursor = 0;
-    /** Execution order (indices into the sorted bucket). Sorting and
-     *  same-tick inserts move these 4-byte indices instead of whole
-     *  entries, so a callback never pays an InlineFunction move. */
-    std::vector<std::uint32_t> _order;
 };
 
 } // namespace limitless

@@ -66,9 +66,10 @@ Migratory::verify(Machine &m) const
         std::uint64_t v = 0;
         bool found = false;
         for (unsigned p = 0; p < procs && !found; ++p) {
-            const CacheLine *cl = m.node(p).cache().array().lookup(line);
+            const CacheArray &arr = m.node(p).cache().array();
+            const CacheLine *cl = arr.lookup(line);
             if (cl && cl->state == CacheState::readWrite) {
-                v = cl->words[amap.wordOf(a)];
+                v = arr.words(*cl)[amap.wordOf(a)];
                 found = true;
             }
         }

@@ -131,11 +131,11 @@ Multigrid::verify(Machine &m) const
             const Addr a = interiorAddr(m.addressMap(), p, k);
             const NodeId home = m.addressMap().homeOf(a);
             // The final value may still live dirty in p's cache.
-            const CacheLine *cl = mm.node(p).cache().array().lookup(
-                m.addressMap().lineAddr(a));
+            const CacheArray &arr = mm.node(p).cache().array();
+            const CacheLine *cl = arr.lookup(m.addressMap().lineAddr(a));
             std::uint64_t v;
             if (cl && cl->state == CacheState::readWrite)
-                v = cl->words[m.addressMap().wordOf(a)];
+                v = arr.words(*cl)[m.addressMap().wordOf(a)];
             else
                 v = mm.node(home).mem().readLine(
                     m.addressMap().lineAddr(a))[m.addressMap().wordOf(a)];

@@ -68,9 +68,10 @@ RandomStress::verify(Machine &m) const
         std::uint64_t v = 0;
         bool dirty = false;
         for (unsigned p = 0; p < procs && !dirty; ++p) {
-            const CacheLine *cl = m.node(p).cache().array().lookup(line);
+            const CacheArray &arr = m.node(p).cache().array();
+            const CacheLine *cl = arr.lookup(line);
             if (cl && cl->state == CacheState::readWrite) {
-                v = cl->words[amap.wordOf(a)];
+                v = arr.words(*cl)[amap.wordOf(a)];
                 dirty = true;
             }
         }

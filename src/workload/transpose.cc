@@ -68,10 +68,10 @@ Transpose::verify(Machine &m) const
             std::uint64_t v = 0;
             bool found = false;
             for (unsigned q = 0; q < procs && !found; ++q) {
-                const CacheLine *cl =
-                    m.node(q).cache().array().lookup(line);
+                const CacheArray &arr = m.node(q).cache().array();
+                const CacheLine *cl = arr.lookup(line);
                 if (cl && cl->state == CacheState::readWrite) {
-                    v = cl->words[amap.wordOf(a)];
+                    v = arr.words(*cl)[amap.wordOf(a)];
                     found = true;
                 }
             }

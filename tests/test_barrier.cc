@@ -145,9 +145,10 @@ runLockTest(ProtocolParams proto)
     std::uint64_t v = 0;
     bool found = false;
     for (unsigned p = 0; p < nodes && !found; ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(line);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         if (cl && cl->state == CacheState::readWrite) {
-            v = cl->words[m.addressMap().wordOf(counter)];
+            v = arr.words(*cl)[m.addressMap().wordOf(counter)];
             found = true;
         }
     }

@@ -120,11 +120,11 @@ TEST(CacheController, WriteNeedsExclusiveEvenWhenReadOnlyResident)
     const CacheLine *cl = h.cache.array().lookup(h.amap.lineAddr(a));
     ASSERT_NE(cl, nullptr);
     EXPECT_EQ(cl->state, CacheState::readWrite);
-    EXPECT_EQ(cl->words[0], 42u);
+    EXPECT_EQ(h.cache.array().words(*cl)[0], 42u);
     // Subsequent store: pure hit.
     EXPECT_EQ(h.access(MemOpKind::store, a, 43),
               CacheController::IssueClass::hit);
-    EXPECT_EQ(cl->words[0], 43u);
+    EXPECT_EQ(h.cache.array().words(*cl)[0], 43u);
 }
 
 TEST(CacheController, DirtyVictimIsWrittenBackWithItsData)
@@ -246,7 +246,7 @@ TEST(CacheController, FetchAddAppliesAtomicallyOnExclusiveData)
     ASSERT_EQ(h.completions.size(), 1u);
     EXPECT_EQ(h.completions[0], 100u) << "returns the old value";
     const CacheLine *cl = h.cache.array().lookup(h.amap.lineAddr(a));
-    EXPECT_EQ(cl->words[0], 105u);
+    EXPECT_EQ(h.cache.array().words(*cl)[0], 105u);
 }
 
 TEST(CacheController, IdleReportsOutstandingWork)

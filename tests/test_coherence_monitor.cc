@@ -88,7 +88,8 @@ TEST(CoherenceMonitorNegative, DetectsStaleData)
     prime(m, a);
     const Addr line = m.addressMap().lineAddr(a);
     // Corrupt: a read-only copy's words diverge from memory.
-    m.node(1).cache().array().lookup(line)->words[0] ^= 0xDEAD;
+    CacheArray &arr = m.node(1).cache().array();
+    arr.words(*arr.lookup(line))[0] ^= 0xDEAD;
     EXPECT_DEATH(CoherenceMonitor(m).checkQuiescent(), "memory has");
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -114,6 +116,69 @@ TEST(EventQueue, CallbacksWithSmallCapturesStoreInline)
     static_assert(EventQueue::Callback::fitsInline<decltype(medium)>);
     EventQueue::Callback cb(std::move(medium));
     EXPECT_TRUE(cb.storedInline());
+}
+
+TEST(EventQueue, PoolHoldsPeakPendingNotEveryWheelSlotsPeak)
+{
+    // Each wave parks kWave events on the next tick, and consecutive
+    // waves land on consecutive wheel slots, so over the run every slot
+    // takes a burst of kWave while no more than kWave are ever pending.
+    // Storage kept per slot would grow to kWave entries in each of the
+    // wheel's slots; the pool holds the peak pending count, rounded up
+    // to whole chunks.
+    constexpr unsigned kWave = 500;
+    constexpr unsigned kWaves = 1024 + 100; // every slot, then wrap
+    EventQueue eq;
+    std::uint64_t ran = 0;
+    std::size_t peak = 0;
+    for (unsigned w = 0; w < kWaves; ++w) {
+        for (unsigned i = 0; i < kWave; ++i)
+            eq.schedule(eq.now() + 1, [&ran]() { ++ran; },
+                        static_cast<int>(i % 4) * 10);
+        peak = std::max(peak, eq.pendingEvents());
+        eq.run();
+    }
+    EXPECT_EQ(ran, std::uint64_t{kWave} * kWaves);
+    EXPECT_EQ(peak, kWave);
+    EXPECT_GE(eq.entryCapacity(), peak);
+    EXPECT_LE(eq.entryCapacity(), 2 * peak);
+}
+
+TEST(EventQueue, CallbackSchedulingTenThousandSameTickEventsRunsInOrder)
+{
+    // One callback schedules far more same-tick events than the pool
+    // holds, so the pool grows while that callback is running in place.
+    // Its own captures must survive, and the new events must run after
+    // it in (priority, seq) order, ahead of a later-priority event that
+    // was already pending at the tick.
+    static constexpr int kN = 10'000;
+    const int prios[] = {EventPriority::cpu, EventPriority::network,
+                         EventPriority::ctrl, EventPriority::deliver};
+    EventQueue eq;
+    std::vector<std::pair<int, int>> ran; // (priority, schedule order)
+    const std::uint64_t marker = 0xC0FFEE;
+    eq.schedule(5, [&ran]() { ran.emplace_back(EventPriority::stats, kN); },
+                EventPriority::stats);
+    eq.schedule(
+        5,
+        [&eq, &ran, &prios, marker]() {
+            const std::size_t before = eq.entryCapacity();
+            for (int i = 0; i < kN; ++i) {
+                const int p = prios[i % 4];
+                eq.schedule(eq.now(), [&ran, p, i]() {
+                    ran.emplace_back(p, i);
+                }, p);
+            }
+            EXPECT_GT(eq.entryCapacity(), before) << "pool must grow";
+            EXPECT_EQ(marker, 0xC0FFEEu);
+        },
+        EventPriority::cpu);
+    eq.run();
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(kN) + 1);
+    EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+    EXPECT_EQ(ran.back().first, EventPriority::stats);
+    EXPECT_EQ(eq.now(), 5u);
+    EXPECT_TRUE(eq.empty());
 }
 
 /**

@@ -57,9 +57,10 @@ finalWord(Machine &m, Addr a)
 {
     const Addr line = m.addressMap().lineAddr(a);
     for (NodeId p = 0; p < m.numNodes(); ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(line);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         if (cl && cl->state == CacheState::readWrite)
-            return cl->words[m.addressMap().wordOf(a)];
+            return arr.words(*cl)[m.addressMap().wordOf(a)];
     }
     return m.node(m.addressMap().homeOf(a))
         .mem()

@@ -119,9 +119,10 @@ TEST(Processor, ConcurrentFetchAddsFromManyNodesSumExactly)
     std::uint64_t v = 0;
     bool dirty = false;
     for (NodeId p = 0; p < 4 && !dirty; ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(line);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         if (cl && cl->state == CacheState::readWrite) {
-            v = cl->words[0];
+            v = arr.words(*cl)[0];
             dirty = true;
         }
     }

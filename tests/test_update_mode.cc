@@ -55,10 +55,11 @@ TEST(UpdateMode, WriteRefreshesCachedCopiesWithoutInvalidation)
     // Every reader still holds the line (no invalidation), refreshed.
     const Addr line = m.addressMap().lineAddr(a);
     for (NodeId p = 1; p <= 4; ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(line);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         ASSERT_NE(cl, nullptr) << "copy at node " << p << " invalidated";
         EXPECT_EQ(cl->state, CacheState::readOnly);
-        EXPECT_EQ(cl->words[0], 99u);
+        EXPECT_EQ(arr.words(*cl)[0], 99u);
     }
     EXPECT_GE(m.sumCounter("mem", "write_updates"), 1u);
     // (The gate line is ordinary invalidate-mode, so machine-wide INV
@@ -123,9 +124,10 @@ TEST(UpdateMode, MixedUpdateAndInvalidateLinesCoexist)
     std::uint64_t v = 0;
     bool dirty = false;
     for (NodeId p = 0; p < 8 && !dirty; ++p) {
-        const CacheLine *cl = m.node(p).cache().array().lookup(iline);
+        const CacheArray &arr = m.node(p).cache().array();
+        const CacheLine *cl = arr.lookup(iline);
         if (cl && cl->state == CacheState::readWrite) {
-            v = cl->words[m.addressMap().wordOf(inv)];
+            v = arr.words(*cl)[m.addressMap().wordOf(inv)];
             dirty = true;
         }
     }

@@ -50,10 +50,10 @@ TEST(WeakOrdering, BufferedStoreDoesNotBlockTheThread)
     EXPECT_EQ(m.node(3).mem().readLine(
                   m.addressMap().lineAddr(remote))[0], 0u)
         << "line should be held dirty by node 0's cache";
-    const CacheLine *cl =
-        m.node(0).cache().array().lookup(m.addressMap().lineAddr(remote));
+    const CacheArray &arr = m.node(0).cache().array();
+    const CacheLine *cl = arr.lookup(m.addressMap().lineAddr(remote));
     ASSERT_NE(cl, nullptr);
-    EXPECT_EQ(cl->words[0], 7u);
+    EXPECT_EQ(arr.words(*cl)[0], 7u);
 }
 
 TEST(WeakOrdering, LoadForwardsFromTheStoreBuffer)
@@ -92,9 +92,10 @@ TEST(WeakOrdering, FenceWaitsForEveryBufferedStore)
     EXPECT_GT(fence_time, 10u) << "fence must wait out the drain";
     for (unsigned i = 0; i < 4; ++i) {
         const Addr line = amap.lineAddr(amap.addrOnNode(3, i));
-        const CacheLine *cl = m.node(0).cache().array().lookup(line);
+        const CacheArray &arr = m.node(0).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         ASSERT_NE(cl, nullptr);
-        EXPECT_EQ(cl->words[0], i + 1);
+        EXPECT_EQ(arr.words(*cl)[0], i + 1);
     }
 }
 
@@ -150,9 +151,10 @@ TEST(WeakOrdering, StoreBufferBackpressureStallsWhenFull)
     CoherenceMonitor(m).checkQuiescent();
     for (unsigned i = 0; i < 10; ++i) {
         const Addr line = amap.lineAddr(amap.addrOnNode(3, i));
-        const CacheLine *cl = m.node(0).cache().array().lookup(line);
+        const CacheArray &arr = m.node(0).cache().array();
+        const CacheLine *cl = arr.lookup(line);
         if (cl && cl->state == CacheState::readWrite) {
-            EXPECT_EQ(cl->words[0], 100 + i);
+            EXPECT_EQ(arr.words(*cl)[0], 100 + i);
         } else {
             EXPECT_EQ(m.node(3).mem().readLine(line)[0], 100 + i);
         }

@@ -7,6 +7,7 @@ Invariants the simulator promises (docs/OBSERVABILITY.md §9):
     path is semicolon-separated non-empty frames; lines are sorted and
     unique; every multi-frame path's parent path is present too (the
     profiler emits every interior node of the scope tree);
+  * the stats-JSON host block reports the process's peak_rss_kb > 0;
   * in the stats-JSON host_profile block: count >= 1, self <= wall,
     and self_ns is exactly wall minus the children's wall (clamped at
     zero) — the parent/child tiling invariant;
@@ -67,6 +68,10 @@ def check_profile_block(stats_path, stats):
     host = stats.get("host")
     if host is None:
         fail(f"{stats_path}: no host block")
+    rss = host.get("peak_rss_kb")
+    if not isinstance(rss, int) or rss <= 0:
+        fail(f"{stats_path}: host.peak_rss_kb missing or not positive: "
+             f"{rss!r}")
     prof = host.get("host_profile")
     if prof is None:
         fail(f"{stats_path}: no host.host_profile block")
