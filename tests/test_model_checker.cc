@@ -50,6 +50,14 @@ struct SchemeCase
     ProtocolParams proto;
 };
 
+// Without this gtest prints the raw bytes of the case, pointer and
+// padding included, and the discovered ctest names change every build.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
+
 std::string
 schemeName(const testing::TestParamInfo<SchemeCase> &info)
 {
